@@ -91,39 +91,27 @@ int main(int argc, char** argv) {
     begin += len;
   }
 
-  // One simulateReads call per read when lengths vary, so each read has
-  // its own length; the index in the name is then rewritten to keep
-  // names unique.
+  // One simulateReads call per read, so each read has its own length in
+  // [min, max]; the index in the name is then rewritten to keep names
+  // unique.
   std::vector<io::FastxRecord> out;
   out.reserve(reads);
-  const std::uint64_t read_seed = rng();
-  auto simulate = [&](std::size_t count, std::size_t length,
-                      std::uint64_t s) {
+  util::Xoshiro256 len_rng(rng());
+  for (std::size_t i = 0; i < reads; ++i) {
+    const std::size_t len = static_cast<std::size_t>(
+        len_rng.range(static_cast<std::int64_t>(min_len),
+                      static_cast<std::int64_t>(max_len)));
     readsim::ReadSimConfig cfg =
-        profile == "clr" ? readsim::ReadSimConfig::pacbioClr(count, length)
-                         : readsim::ReadSimConfig::illumina(count, length);
-    cfg.seed = s;
-    return readsim::simulateReads(ref, cfg);
-  };
-  auto emit = [&](readsim::SimulatedRead& r) {
+        profile == "clr" ? readsim::ReadSimConfig::pacbioClr(1, len)
+                         : readsim::ReadSimConfig::illumina(1, len);
+    cfg.seed = len_rng();
+    readsim::SimulatedRead r =
+        std::move(readsim::simulateReads(ref, cfg).front());
     io::FastxRecord rec;
-    rec.name = "read_" + std::to_string(out.size()) +
-               r.name.substr(r.name.find('!'));
+    rec.name = "read_" + std::to_string(i) + r.name.substr(r.name.find('!'));
     rec.seq = std::move(r.seq);
     rec.qual.assign(rec.seq.size(), 'I');
     out.push_back(std::move(rec));
-  };
-  if (min_len == max_len) {
-    for (auto& r : simulate(reads, min_len, read_seed)) emit(r);
-  } else {
-    util::Xoshiro256 len_rng(read_seed);
-    for (std::size_t i = 0; i < reads; ++i) {
-      const std::size_t len = static_cast<std::size_t>(len_rng.range(
-          static_cast<std::int64_t>(min_len),
-          static_cast<std::int64_t>(max_len)));
-      auto one = simulate(1, len, len_rng());
-      emit(one.front());
-    }
   }
 
   try {

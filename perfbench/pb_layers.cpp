@@ -3,7 +3,7 @@
 //
 //   pb_layers --ref ref.fa --reads reads.fq --work DIR --probe-seconds T
 //             --group-reads G --request-reads A:B --seed S
-//             [--primary-only] [--untraced]
+//             [--primary-only]
 //
 // Each probe calls one layer the way its caller in the program does:
 // SimdBatchSolver (simd), the improved window solver under a counting
@@ -80,8 +80,6 @@ struct Span {
 class Tracer {
  public:
   explicit Tracer(bool on) : on_(on), t0_(Clock::now()) {}
-
-  [[nodiscard]] bool on() const noexcept { return on_; }
 
   int open(std::string name, int parent, long long req = -1) {
     return record(std::move(name), nowUs(), 0, parent, req);
@@ -303,7 +301,7 @@ int main(int argc, char** argv) {
   std::string ref_path, reads_path, work, request_reads = "1:1";
   double probe_s = 0.5;
   std::size_t group_reads = 0, seed = 0;
-  bool primary_only = false, untraced = false;
+  bool primary_only = false;
   cli::Parser cli;
   cli.option("--ref", ref_path);
   cli.option("--reads", reads_path);
@@ -313,7 +311,6 @@ int main(int argc, char** argv) {
   cli.option("--request-reads", request_reads);
   cli.option("--seed", seed);
   cli.flag("--primary-only", primary_only);
-  cli.flag("--untraced", untraced);
   std::size_t req_min = 0, req_max = 0;
   const bool parsed = cli.parse(argc, argv);
   const std::size_t colon = request_reads.find(':');
@@ -325,11 +322,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: pb_layers --ref FA --reads FQ --work DIR "
                  "--probe-seconds T --group-reads G --request-reads A:B "
-                 "--seed S [--primary-only] [--untraced]\n");
+                 "--seed S [--primary-only]\n");
     return 2;
   }
 
-  Tracer tracer(!untraced);
+  Tracer tracer(true);
   Metrics m;
   try {
     const std::size_t nproc =
@@ -828,8 +825,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (tracer.on() && (!writeChromeTrace(tracer, work + "/trace.json") ||
-                      !writeSelfTimes(tracer, work + "/self_time.tsv"))) {
+  if (!writeChromeTrace(tracer, work + "/trace.json") ||
+      !writeSelfTimes(tracer, work + "/self_time.tsv")) {
     std::fprintf(stderr, "pb_layers: cannot write trace output\n");
     return 1;
   }

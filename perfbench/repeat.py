@@ -2,7 +2,7 @@
 """Repeat the benchmark over several seeds and report each metric's spread.
 
     python3 perfbench/repeat.py --workload NAME [--workload NAME ...]
-                                [--seeds 1-10] [--seconds 20] [--trace 0]
+                                [--seeds 1-10] [--seconds 14] [--trace 0]
 
 For every workload, runs perfbench/run.py once per seed (one after the
 other) and prints, per metric, the median, the first and third quartiles
@@ -27,7 +27,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", default="1-10")
-    ap.add_argument("--seconds", default="20")
+    ap.add_argument("--seconds", default="14")
     ap.add_argument("--trace", default="0")
     args = ap.parse_args()
     run = os.path.join(os.path.dirname(os.path.abspath(__file__)), "run.py")

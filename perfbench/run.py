@@ -49,8 +49,10 @@ REFERENCE = {"genome": 8_000_000, "contigs": 8}
 # mapd's.
 # fixed_rate (requests/s) is about 35% of what mapd sustained on the
 # reference host (4-core avx512 KVM guest, see README); the traced run
-# measures latency there. The ladder rates are fixed too; each step sends
-# ladder_requests requests and must keep its p99 within p99_limit_ms.
+# measures latency there. The ladder rates are fixed too; each step lasts
+# step_seconds (rate x step_seconds requests), long enough for a backlog
+# that grows at a few tens of percent over capacity to reach
+# p99_limit_ms, and must keep its p99 within that limit.
 WORKLOADS = {
     "long_full": {
         "reads": 240, "length": (10_000, 10_000), "profile": "clr",
@@ -58,16 +60,16 @@ WORKLOADS = {
         "fixed_rate": 90.0,
         "ladder": [130.0, 160.0, 190.0, 220.0, 250.0, 280.0, 310.0, 340.0,
                    380.0],
-        "ladder_requests": 500, "p99_limit_ms": 400.0,
+        "step_seconds": 1.25, "p99_limit_ms": 400.0,
         "truth_floor": 0.97,
     },
     "short_primary": {
         "reads": 36_000, "length": (150, 150), "profile": "illumina",
         "primary_only": True, "request_reads": (32, 128),
         "fixed_rate": 280.0,
-        "ladder": [400.0, 500.0, 600.0, 700.0, 800.0, 900.0, 1000.0, 1100.0,
-                   1250.0, 1400.0],
-        "ladder_requests": 1000, "p99_limit_ms": 150.0,
+        "ladder": [240.0, 300.0, 360.0, 420.0, 480.0, 540.0, 600.0, 660.0,
+                   730.0, 800.0, 900.0, 1000.0, 1150.0, 1300.0],
+        "step_seconds": 1.0, "p99_limit_ms": 150.0,
         "truth_floor": 0.97,
     },
     "serve_open_loop": {
@@ -76,7 +78,7 @@ WORKLOADS = {
         "fixed_rate": 200.0,
         "ladder": [280.0, 330.0, 380.0, 430.0, 480.0, 530.0, 580.0, 640.0,
                    710.0],
-        "ladder_requests": 800, "p99_limit_ms": 250.0,
+        "step_seconds": 1.0, "p99_limit_ms": 250.0,
         "truth_floor": 0.97, "serves": True,
     },
 }
@@ -231,20 +233,20 @@ def ping(sock_path, timeout=30.0):
 class Mapd:
     """genasmx_mapd on a Unix socket in the work dir; stop() drains it."""
 
-    def __init__(self, bins, work, wl, stats_json=None):
+    def __init__(self, bins, work, wl):
         self.sock = os.path.join(work, "mapd.sock")
         if os.path.exists(self.sock):
             os.unlink(self.sock)
         cmd = [os.path.join(bins, "genasmx", "genasmx_mapd"),
                "--index", os.path.join(work, "ref.gxi"),
                "--unix", "mapd.sock",
-               # Every request of a run fits: shedding would make the
-               # failed count depend on timing; overload shows as latency.
+               # Raised from the default 64 so that every request of a
+               # run fits: shedding under overload would make the failed
+               # count depend on timing. Overload shows as latency, and
+               # the ladder measures where it crosses the limit.
                "--max-queue", "1000000"]
         if wl["primary_only"]:
             cmd.append("--primary-only")
-        if stats_json:
-            cmd += ["--stats-json", stats_json]
         t0 = time.perf_counter()
         self.proc = spawn(cmd, cwd=work)
         try:
@@ -319,13 +321,24 @@ def setup_seconds(bins, work, wl):
 
 class Batch:
     """Whole passes of genasmx_map over the read set at one --threads.
-    Every pass must reproduce the first pass's PAF byte for byte."""
+    Every pass must reproduce the first pass's PAF byte for byte. Each
+    pass is followed by a one-read run at the same --threads, whose wall
+    time (process start, verified index open, thread pool) is the
+    per-process fixed cost that rate() takes off a pass."""
 
     def __init__(self, bins, work, wl, threads, tag):
         self.out = os.path.join(work, "%s.paf" % tag)
         self.cmd = map_cmd(bins, work, wl, "reads.fq", self.out, threads)
+        self.fixed_cmd = map_cmd(bins, work, wl, "first.fq",
+                                 os.path.join(work, tag + ".first.paf"),
+                                 threads)
         self.reads = wl["reads"]
-        self.rates, self.rss, self.paf = [], [], None
+        self.walls, self.fixed, self.rss, self.paf = [], [], [], None
+
+    def rate(self):
+        """Steady-state reads/s: median pass minus median fixed cost."""
+        return self.reads / (statistics.median(self.walls)
+                             - statistics.median(self.fixed))
 
     def run(self, budget):
         """Passes while they fit in `budget` seconds (at least one): a
@@ -333,7 +346,8 @@ class Batch:
         t_end = time.perf_counter() + budget
         while True:
             wall, peak = run_timed(self.cmd)
-            self.rates.append(self.reads / wall)
+            self.walls.append(wall)
+            self.fixed.append(run_timed(self.fixed_cmd)[0])
             self.rss.append(peak)
             with open(self.out, "rb") as f:
                 paf = f.read()
@@ -396,24 +410,20 @@ def phase_stats(reqs):
     }
 
 
-def max_rate(steps, limit):
-    """Highest ladder rate whose p99 meets the limit. Toward the next
-    (failing) step, the crossing is placed by log-linear interpolation of
-    p99, so the figure moves smoothly instead of jumping a whole step when
-    the limit falls between two rates."""
+def max_rate(steps, rates, limit):
+    """Highest ladder rate (`rates[i]` reads/s for step i) whose p99 meets
+    the limit. Toward the next (failing) step, the crossing is placed by
+    log-linear interpolation of p99, so the figure moves smoothly instead
+    of jumping a whole step when the limit falls between two rates."""
     passing = [i for i, s in enumerate(steps) if s["p99"] <= limit]
     if not passing:
-        s = steps[0]
-        return s["offered_reads_per_s"] * min(1.0, limit / s["p99"])
-    best = steps[passing[-1]]
-    if passing[-1] + 1 == len(steps) or \
-            not math.isfinite(steps[passing[-1] + 1]["p99"]):
-        return best["offered_reads_per_s"]
-    nxt = steps[passing[-1] + 1]
-    frac = (math.log(limit) - math.log(best["p99"])) / (
-        math.log(nxt["p99"]) - math.log(best["p99"]))
-    return best["offered_reads_per_s"] + frac * (
-        nxt["offered_reads_per_s"] - best["offered_reads_per_s"])
+        return rates[0] * min(1.0, limit / steps[0]["p99"])
+    i = passing[-1]
+    if i + 1 == len(steps) or not math.isfinite(steps[i + 1]["p99"]):
+        return rates[i]
+    frac = (math.log(limit) - math.log(steps[i]["p99"])) / (
+        math.log(steps[i + 1]["p99"]) - math.log(steps[i]["p99"]))
+    return rates[i] + frac * (rates[i + 1] - rates[i])
 
 
 def check_quality(paf, ref, reads, wl):
@@ -431,67 +441,87 @@ def check_quality(paf, ref, reads, wl):
 # ------------------------------------------------------------- workloads
 
 def run_end_to_end(bins, work, name, wl, seed, seconds):
-    """Setup, then ROUNDS rounds of (default-thread passes, one-thread
-    passes), then mapd: a warm-up at the fixed rate and the ladder.
+    """Setup; then, with mapd up, a warm-up at the fixed rate and a first
+    sweep of the ladder; ROUNDS rounds of (default-thread passes,
+    one-thread passes) of genasmx_map while mapd idles; a second sweep.
     Interleaving the two thread counts spreads both over the same
-    stretch of time, so a slow spell of a shared host hits both alike."""
+    stretch of time, so a slow spell of a shared host hits both alike;
+    the batch phase between the sweeps keeps one slow spell from
+    covering both."""
     deadline.start()
     setup_s = setup_seconds(bins, work, wl)
     ref = check.read_fasta(os.path.join(work, "ref.fa"))
     reads = check.read_fastq(os.path.join(work, "reads.fq"))
     full = Batch(bins, work, wl, None, "map")
     one = Batch(bins, work, wl, 1, "map1t")
-    for _ in range(ROUNDS):
-        full.run(0.3 * seconds / ROUNDS)
-        one.run(0.4 * seconds / ROUNDS)
-    if one.paf != full.paf:
-        raise CheckFailed("PAF at --threads 1 differs from the default")
-    quality = check_quality(full.paf, ref, reads, wl)
-
+    ladder = [(r, round(r * wl["step_seconds"])) for r in wl["ladder"]]
     mapd = Mapd(bins, work, wl)
     try:
         warm = open_loop(bins, work, wl, seed + 1,
                          [(wl["fixed_rate"], WARMUP_REQUESTS)], "warm")
-        ladder = open_loop(bins, work, wl, seed,
-                           [(r, wl["ladder_requests"]) for r in wl["ladder"]],
-                           "ladder", stop=True)
+        sweeps = [open_loop(bins, work, wl, seed, ladder, "ladder1",
+                            stop=True)]
+        for _ in range(ROUNDS):
+            full.run(0.3 * seconds / ROUNDS)
+            one.run(0.4 * seconds / ROUNDS)
+        sweeps.append(open_loop(bins, work, wl, seed + 2, ladder, "ladder2",
+                                stop=True))
     finally:
         mapd_rss = mapd.stop()
-    served = warm + ladder
+    if one.paf != full.paf:
+        raise CheckFailed("PAF at --threads 1 differs from the default")
+    quality = check_quality(full.paf, ref, reads, wl)
+    served = warm + sweeps[0] + sweeps[1]
     checked = check.check_replies(served, reads,
                                   check.lines_by_read(full.paf))
 
     limit = wl["p99_limit_ms"]
-    steps = [phase_stats([q for q in ladder if q["phase"] == p])
-             for p in sorted({q["phase"] for q in ladder})]
+    # A step's place on the ladder is its nominal read rate: request rate
+    # times the mean request size. The read rate a 1 s Poisson sample
+    # actually offers varies by several percent from seed to seed.
+    lo, hi = wl["request_reads"]
+    rates = [r * (lo + hi) / 2 for r in wl["ladder"]]
+    sweep_steps = [[phase_stats([q for q in sw if q["phase"] == p])
+                    for p in sorted({q["phase"] for q in sw})]
+                   for sw in sweeps]
     log("workload %s seed %d: %d reads, %d PAF records" % (
         name, seed, len(reads), quality["records"]))
-    log("  setup %.3fs; batch %d passes %.1f reads/s (1 thread: %d passes "
-        "%.1f reads/s)" % (setup_s, len(full.rates),
-                            statistics.median(full.rates), len(one.rates),
-                            statistics.median(one.rates)))
-    for i, s in enumerate(steps):
-        log("  mapd step%d %5d requests %8.1f reads/s  p50 %7.2f ms  p99 "
-            "%8.2f ms  failed %d  send lateness p99 %.2f ms%s" % (
-                i + 1, s["requests"], s["offered_reads_per_s"], s["p50"],
-                s["p99"], s["failed"], s["late_p99"],
-                "" if s["p99"] <= limit else "  > limit"))
+    log("  setup %.3fs; fixed cost per process %.1f ms" % (
+        setup_s, 1000 * statistics.median(full.fixed + one.fixed)))
+    for b, label in ((full, "default threads"), (one, "1 thread")):
+        log("  batch %s: %d passes, %.1f reads/s; pass walls %s" % (
+            label, len(b.walls), b.rate(),
+            " ".join("%.3f" % w for w in b.walls)))
+    for k, steps in enumerate(sweep_steps):
+        for i, s in enumerate(steps):
+            log("  mapd sweep%d step%d %5d requests %8.1f reads/s (offered "
+                "%8.1f)  p50 %7.2f ms  p99 %8.2f ms  failed %d  send "
+                "lateness p99 %.2f ms%s" % (
+                    k + 1, i + 1, s["requests"], rates[i],
+                    s["offered_reads_per_s"], s["p50"], s["p99"],
+                    s["failed"], s["late_p99"],
+                    "" if s["p99"] <= limit else "  > limit"))
+        log("  mapd sweep%d max rate %.1f reads/s" % (
+            k + 1, max_rate(steps, rates, limit)))
     log("  replies checked against the batch PAF: %d" % checked)
 
     peak = mapd_rss if wl.get("serves") else \
         statistics.median(full.rss)
-    attempted = (len(reads) * (len(full.rates) + len(one.rates))
+    attempted = (len(reads) * (len(full.walls) + len(one.walls))
                  + len(served))
     failed = sum(q["status"] != "OK" for q in served)
     metrics = {
         "setup_s": (setup_s, "s"),
-        "map_reads_per_s": (statistics.median(full.rates), "reads/s"),
-        "map_1t_reads_per_s": (statistics.median(one.rates), "reads/s"),
+        "map_reads_per_s": (full.rate(), "reads/s"),
+        "map_1t_reads_per_s": (one.rate(), "reads/s"),
         "peak_rss_bytes": (peak, "bytes"),
         "reads_on_truth": (quality["reads_on_truth"], "reads"),
         "alignment_cost_per_kb": (quality["alignment_cost_per_kb"],
                                   "edits/kb"),
-        "serve_max_rate_reads_per_s": (max_rate(steps, limit), "reads/s"),
+        # The better sweep: a slow spell of the host can only lower one.
+        "serve_max_rate_reads_per_s": (
+            max(max_rate(steps, rates, limit) for steps in sweep_steps),
+            "reads/s"),
     }
     return attempted, failed, metrics
 
@@ -524,9 +554,8 @@ def run_traced(bins, work, name, wl, seed, seconds):
             raise CheckFailed("in-process pipeline PAF differs from "
                               "genasmx_map's")
 
-    # The fixed-rate phase: latency, the client's lateness and STATS.
-    stats_path = os.path.join(work, "mapd_stats.json")
-    mapd = Mapd(bins, work, wl, stats_path)
+    # The fixed-rate phase: latency and the client's lateness.
+    mapd = Mapd(bins, work, wl)
     try:
         warm = open_loop(bins, work, wl, seed + 1,
                          [(wl["fixed_rate"], WARMUP_REQUESTS)], "warm")
@@ -535,9 +564,6 @@ def run_traced(bins, work, name, wl, seed, seconds):
     finally:
         mapd.stop()
     check.check_replies(warm + fixed, reads, check.lines_by_read(full.paf))
-    with open(stats_path) as f:
-        st = json.load(f)["requests"]
-    layers["server.shed_requests"] = st["shed_queue_full"] + st["shed_deadline"]
     fx = phase_stats(fixed)
     layers["server.fixed_rate_p50_ms"] = fx["p50"]
     layers["server.fixed_rate_p99_ms"] = fx["p99"]
