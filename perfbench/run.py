@@ -320,11 +320,12 @@ def setup_seconds(bins, work, wl):
 
 
 class Batch:
-    """Whole passes of genasmx_map over the read set at one --threads.
-    Every pass must reproduce the first pass's PAF byte for byte. Each
-    pass is followed by a one-read run at the same --threads, whose wall
-    time (process start, verified index open, thread pool) is the
-    per-process fixed cost that rate() takes off a pass."""
+    """Whole passes of genasmx_map over the read set at one --threads,
+    grouped in windows (stretches of the run). Every pass must reproduce
+    the first pass's PAF byte for byte. Each pass is followed by a
+    one-read run at the same --threads, whose wall time (process start,
+    verified index open, thread pool) is the per-process fixed cost that
+    rate() takes off a pass."""
 
     def __init__(self, bins, work, wl, threads, tag):
         self.out = os.path.join(work, "%s.paf" % tag)
@@ -333,12 +334,20 @@ class Batch:
                                  os.path.join(work, tag + ".first.paf"),
                                  threads)
         self.reads = wl["reads"]
-        self.walls, self.fixed, self.rss, self.paf = [], [], [], None
+        self.windows = [[]]  # per window: (pass wall, fixed cost) pairs
+        self.rss, self.paf = [], None
+
+    def window_rates(self):
+        """Steady-state reads/s per window: median pass minus median
+        fixed cost."""
+        return [self.reads / (statistics.median(w for w, _ in win)
+                              - statistics.median(f for _, f in win))
+                for win in self.windows]
 
     def rate(self):
-        """Steady-state reads/s: median pass minus median fixed cost."""
-        return self.reads / (statistics.median(self.walls)
-                             - statistics.median(self.fixed))
+        """The faster window: a slow spell of the host can only lower
+        one."""
+        return max(self.window_rates())
 
     def run(self, budget):
         """Passes while they fit in `budget` seconds (at least one): a
@@ -346,8 +355,7 @@ class Batch:
         t_end = time.perf_counter() + budget
         while True:
             wall, peak = run_timed(self.cmd)
-            self.walls.append(wall)
-            self.fixed.append(run_timed(self.fixed_cmd)[0])
+            self.windows[-1].append((wall, run_timed(self.fixed_cmd)[0]))
             self.rss.append(peak)
             with open(self.out, "rb") as f:
                 paf = f.read()
@@ -441,13 +449,14 @@ def check_quality(paf, ref, reads, wl):
 # ------------------------------------------------------------- workloads
 
 def run_end_to_end(bins, work, name, wl, seed, seconds):
-    """Setup; then, with mapd up, a warm-up at the fixed rate and a first
-    sweep of the ladder; ROUNDS rounds of (default-thread passes,
-    one-thread passes) of genasmx_map while mapd idles; a second sweep.
-    Interleaving the two thread counts spreads both over the same
+    """Setup; then, with mapd up: a warm-up at the fixed rate, a first
+    batch window, the first sweep of the ladder, a second batch window
+    and the second sweep. A batch window is ROUNDS / 2 rounds of
+    (default-thread passes, one-thread passes) of genasmx_map while mapd
+    idles. Interleaving the two thread counts spreads both over the same
     stretch of time, so a slow spell of a shared host hits both alike;
-    the batch phase between the sweeps keeps one slow spell from
-    covering both."""
+    alternating windows and sweeps keeps one slow spell from covering
+    both windows or both sweeps."""
     deadline.start()
     setup_s = setup_seconds(bins, work, wl)
     ref = check.read_fasta(os.path.join(work, "ref.fa"))
@@ -459,13 +468,16 @@ def run_end_to_end(bins, work, name, wl, seed, seconds):
     try:
         warm = open_loop(bins, work, wl, seed + 1,
                          [(wl["fixed_rate"], WARMUP_REQUESTS)], "warm")
-        sweeps = [open_loop(bins, work, wl, seed, ladder, "ladder1",
-                            stop=True)]
-        for _ in range(ROUNDS):
-            full.run(0.3 * seconds / ROUNDS)
-            one.run(0.4 * seconds / ROUNDS)
-        sweeps.append(open_loop(bins, work, wl, seed + 2, ladder, "ladder2",
-                                stop=True))
+        sweeps = []
+        for k in range(2):
+            if k:
+                full.windows.append([])
+                one.windows.append([])
+            for _ in range(ROUNDS // 2):
+                full.run(0.3 * seconds / ROUNDS)
+                one.run(0.4 * seconds / ROUNDS)
+            sweeps.append(open_loop(bins, work, wl, seed + 2 * k, ladder,
+                                    "ladder%d" % (k + 1), stop=True))
     finally:
         mapd_rss = mapd.stop()
     if one.paf != full.paf:
@@ -487,11 +499,13 @@ def run_end_to_end(bins, work, name, wl, seed, seconds):
     log("workload %s seed %d: %d reads, %d PAF records" % (
         name, seed, len(reads), quality["records"]))
     log("  setup %.3fs; fixed cost per process %.1f ms" % (
-        setup_s, 1000 * statistics.median(full.fixed + one.fixed)))
+        setup_s, 1000 * statistics.median(
+            f for b in (full, one) for win in b.windows for _, f in win)))
     for b, label in ((full, "default threads"), (one, "1 thread")):
-        log("  batch %s: %d passes, %.1f reads/s; pass walls %s" % (
-            label, len(b.walls), b.rate(),
-            " ".join("%.3f" % w for w in b.walls)))
+        for k, (win, r) in enumerate(zip(b.windows, b.window_rates())):
+            log("  batch %s window%d: %d passes, %.1f reads/s; pass walls "
+                "%s" % (label, k + 1, len(win), r,
+                        " ".join("%.3f" % w for w, _ in win)))
     for k, steps in enumerate(sweep_steps):
         for i, s in enumerate(steps):
             log("  mapd sweep%d step%d %5d requests %8.1f reads/s (offered "
@@ -507,7 +521,8 @@ def run_end_to_end(bins, work, name, wl, seed, seconds):
 
     peak = mapd_rss if wl.get("serves") else \
         statistics.median(full.rss)
-    attempted = (len(reads) * (len(full.walls) + len(one.walls))
+    passes = sum(len(win) for b in (full, one) for win in b.windows)
+    attempted = (len(reads) * passes
                  + len(served))
     failed = sum(q["status"] != "OK" for q in served)
     metrics = {
