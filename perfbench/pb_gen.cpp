@@ -1,15 +1,16 @@
 // pb_gen — make one benchmark workload's inputs from a seed.
 //
 //   pb_gen --seed S --out DIR --genome BP --contigs N --reads N
-//          --min-length BP --max-length BP --profile clr|illumina
+//          --min-length BP --max-length BP
 //   pb_gen --isa          (print the active SIMD level and exit)
 //
 // Writes DIR/ref.fa (a repeat-rich genome from readsim::generateGenome,
 // cut into N contigs of seeded, uneven lengths) and DIR/reads.fq (reads
-// from readsim::simulateReads over that multi-contig Reference). Read
-// names keep the simulator's truth encoding read_<i>!<contig>!<pos>!<s>,
-// which is all the checker needs; the programs under test only ever see
-// these two files. The same arguments always give the same bytes.
+// from readsim::simulateReads over that multi-contig Reference, with the
+// PacBio CLR error profile). Read names keep the simulator's truth
+// encoding read_<i>!<contig>!<pos>!<s>, which is all the checker needs;
+// the programs under test only ever see these two files. The same
+// arguments always give the same bytes.
 
 #include <algorithm>
 #include <cstdio>
@@ -33,7 +34,6 @@ int main(int argc, char** argv) {
   std::size_t reads = 0;
   std::size_t min_len = 0;
   std::size_t max_len = 0;
-  std::string profile;
   bool isa = false;
   cli::Parser cli;
   cli.flag("--isa", isa);
@@ -44,19 +44,16 @@ int main(int argc, char** argv) {
   cli.option("--reads", reads);
   cli.option("--min-length", min_len);
   cli.option("--max-length", max_len);
-  cli.option("--profile", profile);
   const bool parsed = cli.parse(argc, argv);
   if (parsed && isa) {
     std::printf("%s\n", std::string(simd::isaName(simd::activeIsa())).c_str());
     return 0;
   }
   if (!parsed || out_dir.empty() || genome_bp == 0 ||
-      contigs == 0 || reads == 0 || min_len == 0 || max_len < min_len ||
-      (profile != "clr" && profile != "illumina")) {
+      contigs == 0 || reads == 0 || min_len == 0 || max_len < min_len) {
     std::fprintf(stderr,
                  "usage: pb_gen --seed S --out DIR --genome BP --contigs N "
-                 "--reads N --min-length BP --max-length BP "
-                 "--profile clr|illumina\n");
+                 "--reads N --min-length BP --max-length BP\n");
     return 2;
   }
 
@@ -101,9 +98,7 @@ int main(int argc, char** argv) {
     const std::size_t len = static_cast<std::size_t>(
         len_rng.range(static_cast<std::int64_t>(min_len),
                       static_cast<std::int64_t>(max_len)));
-    readsim::ReadSimConfig cfg =
-        profile == "clr" ? readsim::ReadSimConfig::pacbioClr(1, len)
-                         : readsim::ReadSimConfig::illumina(1, len);
+    readsim::ReadSimConfig cfg = readsim::ReadSimConfig::pacbioClr(1, len);
     cfg.seed = len_rng();
     readsim::SimulatedRead r =
         std::move(readsim::simulateReads(ref, cfg).front());

@@ -1,29 +1,25 @@
 // pb_openloop — open-loop load generator for genasmx_mapd.
 //
 //   pb_openloop --unix PATH --reads FILE --seed S --connections N
-//               --phases RATE:COUNT[,RATE:COUNT...] --min-reads A
-//               --max-reads B --log FILE [--stop-p99-ms L]
+//               --rate R --requests N --min-reads A --max-reads B
+//               --log FILE
 //
-// Each phase sends COUNT MAP requests on a seeded Poisson schedule of
-// RATE requests/s. A request carries A..B consecutive reads of the pool
-// in FILE (wrapping to the start). Requests go round-robin over N
-// pipelined connections: one sender thread writes frames at their due
-// times through MapClient::sendRaw and never waits for a reply, and one
-// reader thread per connection collects replies with readReply. So a
-// slow server delays no arrival, and each latency is taken from the
+// Sends N MAP requests on a seeded Poisson schedule of R requests/s. A
+// request carries A..B consecutive reads of the pool in FILE (wrapping
+// to the start). Requests go round-robin over the pipelined
+// connections: one sender thread writes frames at their due times
+// through MapClient::sendRaw and never waits for a reply, and one reader
+// thread per connection collects replies with readReply. So a slow
+// server delays no arrival, and each latency is taken from the
 // request's due time, not its send time (the wait a stall imposes on
-// later requests is counted). A phase ends when every reply is in; the
-// next starts after it. With --stop-p99-ms, the run stops after two
-// phases in a row whose p99 exceeds L or that lose a request; one bad
-// phase alone can be a passing stall of the host.
+// later requests is counted). The run ends when every reply is in.
 //
 // The log has one line per request:
-//   phase id start count due_us sent_us done_us status reads crc32 bytes
+//   id start count due_us sent_us done_us status reads crc32 bytes
 // status is OK, or the ERR reason, or "wire" for a transport failure.
 // crc32 is over the reply body, so the caller can compare each reply
 // with the batch mapper's PAF for the same reads.
 
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -45,13 +41,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-struct Phase {
-  double rate = 0;
-  std::size_t count = 0;
-};
-
 struct Request {
-  std::size_t phase = 0;
   std::size_t start = 0;
   std::size_t count = 0;
   double due_us = 0;
@@ -78,69 +68,36 @@ std::uint32_t crc32(const std::string& s) {
   return c ^ 0xFFFFFFFFu;
 }
 
-bool parsePhases(const std::string& spec, std::vector<Phase>& out) {
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
-    const std::string item = spec.substr(pos, comma - pos);
-    const std::size_t colon = item.find(':');
-    if (colon == std::string::npos) return false;
-    Phase p;
-    std::size_t count = 0;
-    if (!gx::cli::parseReal(item.substr(0, colon).c_str(), p.rate) ||
-        !gx::cli::parseCount(item.substr(colon + 1).c_str(), count) ||
-        p.rate <= 0 || count == 0) {
-      return false;
-    }
-    p.count = count;
-    out.push_back(p);
-    pos = comma + 1;
-  }
-  return !out.empty();
-}
-
 double since(Clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
-}
-
-double p99Ms(const std::vector<Request>& reqs, std::size_t first,
-             std::size_t last) {
-  std::vector<double> lat;
-  for (std::size_t i = first; i < last; ++i) {
-    lat.push_back(reqs[i].done_us - reqs[i].due_us);
-  }
-  std::sort(lat.begin(), lat.end());
-  const std::size_t idx = static_cast<std::size_t>(
-      std::ceil(0.99 * static_cast<double>(lat.size()))) - 1;
-  return lat[std::min(idx, lat.size() - 1)] / 1000.0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace gx;
-  std::string unix_path, reads_path, phases_spec, log_path;
-  std::size_t seed = 0, connections = 0, min_reads = 0, max_reads = 0;
-  double stop_p99_ms = 0;
+  std::string unix_path, reads_path, log_path;
+  std::size_t seed = 0, connections = 0, requests = 0, min_reads = 0,
+              max_reads = 0;
+  double rate = 0;
   cli::Parser cli;
   cli.option("--unix", unix_path);
   cli.option("--reads", reads_path);
   cli.option("--seed", seed);
   cli.option("--connections", connections);
-  cli.option("--phases", phases_spec);
+  cli.option("--rate", rate);
+  cli.option("--requests", requests);
   cli.option("--min-reads", min_reads);
   cli.option("--max-reads", max_reads);
   cli.option("--log", log_path);
-  cli.option("--stop-p99-ms", stop_p99_ms);
-  std::vector<Phase> phases;
   if (!cli.parse(argc, argv) || unix_path.empty() || reads_path.empty() ||
       log_path.empty() || connections == 0 || connections > 64 ||
-      min_reads == 0 || max_reads < min_reads ||
-      !parsePhases(phases_spec, phases)) {
+      !(rate > 0) || requests == 0 || min_reads == 0 ||
+      max_reads < min_reads) {
     std::fprintf(stderr,
                  "usage: pb_openloop --unix PATH --reads FILE --seed S "
-                 "--connections N --phases RATE:COUNT[,...] --min-reads A "
-                 "--max-reads B --log FILE [--stop-p99-ms L]\n");
+                 "--connections N --rate R --requests N --min-reads A "
+                 "--max-reads B --log FILE\n");
     return 2;
   }
 
@@ -161,27 +118,19 @@ int main(int argc, char** argv) {
   // The whole schedule is fixed before the first send: seeded sizes,
   // pool positions and exponential gaps.
   util::Xoshiro256 rng(seed);
-  std::vector<Request> reqs;
-  std::vector<std::size_t> phase_begin;
+  std::vector<Request> reqs(requests);
   std::size_t cursor = 0;
-  for (std::size_t p = 0; p < phases.size(); ++p) {
-    phase_begin.push_back(reqs.size());
-    double t = 0;
-    for (std::size_t i = 0; i < phases[p].count; ++i) {
-      Request r;
-      r.phase = p;
-      r.count = static_cast<std::size_t>(rng.range(
-          static_cast<std::int64_t>(min_reads),
-          static_cast<std::int64_t>(max_reads)));
-      if (cursor + r.count > pool.size()) cursor = 0;
-      r.start = cursor;
-      cursor += r.count;
-      r.due_us = t;
-      t += -std::log(1.0 - rng.uniform01()) / phases[p].rate * 1e6;
-      reqs.push_back(r);
-    }
+  double t = 0;
+  for (Request& r : reqs) {
+    r.count = static_cast<std::size_t>(
+        rng.range(static_cast<std::int64_t>(min_reads),
+                  static_cast<std::int64_t>(max_reads)));
+    if (cursor + r.count > pool.size()) cursor = 0;
+    r.start = cursor;
+    cursor += r.count;
+    r.due_us = t;
+    t += -std::log(1.0 - rng.uniform01()) / rate * 1e6;
   }
-  phase_begin.push_back(reqs.size());
 
   std::vector<server::MapClient> conns(connections);
   for (auto& c : conns) {
@@ -192,72 +141,51 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::size_t phases_run = 0;
-  std::size_t misses_in_row = 0;
-  bool broken = false;
-  for (std::size_t p = 0; p < phases.size() && !broken; ++p) {
-    const std::size_t first = phase_begin[p];
-    const std::size_t last = phase_begin[p + 1];
-    const Clock::time_point t0 = Clock::now();
-    std::vector<std::thread> readers;
-    for (std::size_t c = 0; c < connections; ++c) {
-      readers.emplace_back([&, c] {
-        std::size_t expected = 0;
-        for (std::size_t i = first; i < last; ++i) {
-          expected += (i - first) % connections == c ? 1 : 0;
-        }
-        server::ResponseHeader reply;
-        std::string body;
-        for (std::size_t n = 0; n < expected; ++n) {
-          if (!conns[c].readReply(reply, body).ok()) return;
-          const std::size_t id = std::stoull(reply.id);
-          if (id < first || id >= last) return;
-          Request& r = reqs[id];
-          r.done_us = since(t0);
-          r.status = reply.ok ? "OK" : reply.reason;
-          r.reads = reply.reads;
-          r.crc = crc32(body);
-          r.bytes = body.size();
-        }
-      });
-    }
-    std::string frame;
-    for (std::size_t i = first; i < last; ++i) {
-      Request& r = reqs[i];
-      std::this_thread::sleep_until(
-          t0 + std::chrono::microseconds(static_cast<std::int64_t>(r.due_us)));
-      std::string payload;
-      for (std::size_t k = 0; k < r.count; ++k) payload += pool[r.start + k];
-      frame = "MAP id=" + std::to_string(i) +
-              " bytes=" + std::to_string(payload.size()) + "\n" + payload;
-      r.sent_us = since(t0);
-      if (!conns[(i - first) % connections].sendRaw(frame).ok()) {
-        broken = true;
-        break;
+  const Clock::time_point t0 = Clock::now();
+  std::vector<std::thread> readers;
+  for (std::size_t c = 0; c < connections; ++c) {
+    readers.emplace_back([&, c] {
+      const std::size_t expected =
+          requests / connections + (c < requests % connections ? 1 : 0);
+      server::ResponseHeader reply;
+      std::string body;
+      for (std::size_t n = 0; n < expected; ++n) {
+        if (!conns[c].readReply(reply, body).ok()) return;
+        const std::size_t id = std::stoull(reply.id);
+        if (id >= requests) return;
+        Request& r = reqs[id];
+        r.done_us = since(t0);
+        r.status = reply.ok ? "OK" : reply.reason;
+        r.reads = reply.reads;
+        r.crc = crc32(body);
+        r.bytes = body.size();
       }
-    }
-    // Requests a broken connection never answered keep status "wire";
-    // shutting every socket down unblocks readers still waiting on them.
-    if (broken) {
+    });
+  }
+  std::string frame;
+  for (std::size_t i = 0; i < requests; ++i) {
+    Request& r = reqs[i];
+    std::this_thread::sleep_until(
+        t0 + std::chrono::microseconds(static_cast<std::int64_t>(r.due_us)));
+    std::string payload;
+    for (std::size_t k = 0; k < r.count; ++k) payload += pool[r.start + k];
+    frame = "MAP id=" + std::to_string(i) +
+            " bytes=" + std::to_string(payload.size()) + "\n" + payload;
+    r.sent_us = since(t0);
+    if (!conns[i % connections].sendRaw(frame).ok()) {
+      // Requests a broken connection never answered keep status "wire";
+      // shutting every socket down unblocks readers still waiting on
+      // them.
       for (auto& c : conns) ::shutdown(c.fd(), SHUT_RDWR);
-    }
-    for (auto& t : readers) t.join();
-    ++phases_run;
-    if (stop_p99_ms > 0) {
-      bool missed = false;
-      for (std::size_t i = first; i < last; ++i) {
-        missed = missed || reqs[i].status != "OK";
-      }
-      missed = missed || p99Ms(reqs, first, last) > stop_p99_ms;
-      misses_in_row = missed ? misses_in_row + 1 : 0;
-      if (misses_in_row == 2) break;
+      break;
     }
   }
+  for (auto& th : readers) th.join();
 
   std::ofstream log(log_path);
-  for (std::size_t i = 0; i < phase_begin[phases_run]; ++i) {
+  for (std::size_t i = 0; i < requests; ++i) {
     const Request& r = reqs[i];
-    log << r.phase << ' ' << i << ' ' << r.start << ' ' << r.count << ' '
+    log << i << ' ' << r.start << ' ' << r.count << ' '
         << static_cast<std::int64_t>(r.due_us) << ' '
         << static_cast<std::int64_t>(r.sent_us) << ' '
         << static_cast<std::int64_t>(r.done_us) << ' ' << r.status << ' '

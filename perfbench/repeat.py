@@ -2,7 +2,7 @@
 """Repeat the benchmark over several seeds and report each metric's spread.
 
     python3 perfbench/repeat.py --workload NAME [--workload NAME ...]
-                                [--seeds 1-10] [--seconds 14] [--trace 0]
+                                [--seeds 1-10] [--seconds 12] [--trace 0]
 
 For every workload, runs perfbench/run.py once per seed (one after the
 other) and prints, per metric, the median, the first and third quartiles
@@ -16,6 +16,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 
 
 def seed_list(spec):
@@ -27,18 +28,20 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", default="1-10")
-    ap.add_argument("--seconds", default="14")
+    ap.add_argument("--seconds", default="12")
     ap.add_argument("--trace", default="0")
     args = ap.parse_args()
     run = os.path.join(os.path.dirname(os.path.abspath(__file__)), "run.py")
     ok = True
     for wl in args.workload:
-        values, shares = {}, []
+        values, shares, walls = {}, [], []
         for seed in seed_list(args.seeds):
+            t0 = time.perf_counter()
             p = subprocess.run(
                 [sys.executable, run, "--workload", wl, "--seed", str(seed),
                  "--seconds", args.seconds, "--trace", args.trace],
                 capture_output=True, text=True)
+            walls.append(time.perf_counter() - t0)
             if p.returncode != 0:
                 print("%s seed %d FAILED: %s" % (wl, seed,
                                                  p.stderr.strip()[-300:]))
@@ -48,8 +51,8 @@ def main():
             shares.append(res["failed"] / res["attempted"])
             for k, m in res["metrics"].items():
                 values.setdefault(k, []).append((m["value"], m["unit"]))
-        print("%s: %d runs, failed share per run %s" % (
-            wl, len(shares), sorted(set(shares))))
+        print("%s: %d runs of %.0f-%.0f s, failed share per run %s" % (
+            wl, len(shares), min(walls), max(walls), sorted(set(shares))))
         for k, vs in values.items():
             xs = [v for v, _ in vs]
             med = statistics.median(xs)
