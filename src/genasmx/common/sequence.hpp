@@ -3,6 +3,7 @@
 // alphabet, 2-bit encoding/packing, reverse/complement, and random
 // sequence helpers used in tests.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -15,16 +16,21 @@ namespace gx::common {
 inline constexpr int kAlphabetSize = 4;
 inline constexpr char kBases[kAlphabetSize + 1] = "ACGT";
 
+/// baseCode() of every byte value.
+inline constexpr std::array<std::uint8_t, 256> kBaseCodes = [] {
+  std::array<std::uint8_t, 256> t{};
+  t['C'] = t['c'] = 1;
+  t['G'] = t['g'] = 2;
+  t['T'] = t['t'] = 3;
+  return t;
+}();
+
 /// Map ACGT (case-insensitive) to 0..3. Any other character (incl. N)
-/// maps to 0; alignment semantics treat it as 'A'.
+/// maps to 0; alignment semantics treat it as 'A'. A table lookup, not a
+/// switch: on random DNA the switch's branches mispredict, and the lane
+/// packing and traceback loops call this per base.
 [[nodiscard]] constexpr std::uint8_t baseCode(char c) noexcept {
-  switch (c) {
-    case 'A': case 'a': return 0;
-    case 'C': case 'c': return 1;
-    case 'G': case 'g': return 2;
-    case 'T': case 't': return 3;
-    default: return 0;
-  }
+  return kBaseCodes[static_cast<unsigned char>(c)];
 }
 
 [[nodiscard]] constexpr char codeBase(std::uint8_t code) noexcept {

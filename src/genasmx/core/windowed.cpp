@@ -1,5 +1,6 @@
 #include "genasmx/core/windowed.hpp"
 
+#include <algorithm>
 #include <vector>
 
 namespace gx::core {
@@ -129,6 +130,26 @@ simd::WindowProblem currentWindow(const WindowConfig& cfg,
   return p;
 }
 
+/// Order the sweep's live requests (scratch.lane_req) by their previous
+/// window's depth, index order breaking ties, and build their current
+/// windows in that order. std::sort works in place, so the march stays
+/// allocation-free.
+template <class Request>
+void packSweep(const WindowConfig& cfg, const Request* requests,
+               WindowedBatchScratch& scratch) {
+  auto& st = scratch.st;
+  std::sort(scratch.lane_req.begin(), scratch.lane_req.end(),
+            [&](std::size_t a, std::size_t b) {
+              return st[a].depth != st[b].depth ? st[a].depth < st[b].depth
+                                                : a < b;
+            });
+  scratch.probs.clear();
+  for (const std::size_t r : scratch.lane_req) {
+    scratch.probs.push_back(
+        currentWindow(cfg, requests[r].target, requests[r].query, st[r]));
+  }
+}
+
 }  // namespace
 
 void distanceWindowedBatch(simd::SimdBatchSolver& solver,
@@ -167,7 +188,6 @@ void distanceWindowedBatch(simd::SimdBatchSolver& solver,
   // current windows of all live requests are packed into lanes and
   // solved together, then each lane applies the scalar march update.
   while (live > 0) {
-    probs.clear();
     lane_req.clear();
     for (std::size_t r = 0; r < count; ++r) {
       if (st[r].done) continue;
@@ -187,10 +207,10 @@ void distanceWindowedBatch(simd::SimdBatchSolver& solver,
                                            : static_cast<int>(st[r].acc));
         continue;
       }
-      probs.push_back(currentWindow(cfg, target, query, st[r]));
       lane_req.push_back(r);
     }
-    if (probs.empty()) break;
+    if (lane_req.empty()) break;
+    packSweep(cfg, requests, scratch);
     scratch.ensure(outs, probs.size());
     solver.solveWindowBatch(genasm::Anchor::StartOnly, probs.data(),
                             probs.size(), outs.data());
@@ -202,6 +222,7 @@ void distanceWindowedBatch(simd::SimdBatchSolver& solver,
         finish(r, -1);
         continue;
       }
+      m.depth = out.distance;
       if (m.is_final) {
         m.acc += out.edits;
         const std::size_t rem_t = requests[r].target.size() - m.ti;
@@ -274,7 +295,6 @@ void alignWindowedBatch(simd::SimdBatchSolver& solver, const WindowConfig& cfg,
   // sweep structure as distanceWindowedBatch, with alignWindowed()'s
   // commit logic applied per lane.
   while (live > 0) {
-    probs.clear();
     lane_req.clear();
     for (std::size_t r = 0; r < count; ++r) {
       if (st[r].done) continue;
@@ -296,10 +316,10 @@ void alignWindowedBatch(simd::SimdBatchSolver& solver, const WindowConfig& cfg,
         finishOk(r);
         continue;
       }
-      probs.push_back(currentWindow(cfg, target, query, st[r]));
       lane_req.push_back(r);
     }
-    if (probs.empty()) break;
+    if (lane_req.empty()) break;
+    packSweep(cfg, requests, scratch);
     scratch.ensure(wrs, probs.size());
     solver.alignBatch(genasm::Anchor::StartOnly, probs.data(), probs.size(),
                       wrs.data());
@@ -312,6 +332,7 @@ void alignWindowedBatch(simd::SimdBatchSolver& solver, const WindowConfig& cfg,
         finishFail(r);
         continue;
       }
+      m.depth = wr.distance;
       if (m.is_final) {
         out.cigar.append(wr.cigar);
         const std::size_t rem_t = requests[r].target.size() - m.ti;

@@ -276,6 +276,7 @@ struct WindowedBatchScratch {
     std::uint64_t budget = ~0ULL;
     bool done = false;
     bool is_final = false;  ///< current window is the final window
+    int depth = 0;  ///< previous window's d_min: the sweep packing order
   };
 
   std::vector<March> st;
@@ -305,6 +306,10 @@ struct WindowedBatchScratch {
 /// requests into SIMD lanes (the paper's inter-window parallelism —
 /// windows of *different* problems run in lock-step lanes; each
 /// problem's own windows stay sequential, as the stitching requires).
+/// Each sweep hands the solver its windows ordered by the depth (d_min)
+/// the request's previous window needed, request index breaking ties:
+/// consecutive windows of one request need similar depths, so shallow
+/// windows share lane groups that early termination ends early.
 /// results[i] equals distanceWindowed(solver, target, query, cfg, cap)
 /// for both GenASM window solvers: per-window solves are bit-identical
 /// (see SimdBatchSolver) and the march logic is the same, so capped

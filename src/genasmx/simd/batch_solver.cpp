@@ -24,21 +24,12 @@ std::uint64_t onesAboveWord(int d, int w) noexcept {
   return ~0ULL << (d - lo);
 }
 
-detail::FillFn fillFor(IsaLevel isa) noexcept {
-  switch (isa) {
-    case IsaLevel::Avx512: return detail::kFillAvx512;
-    case IsaLevel::Avx2: return detail::kFillAvx2;
-    case IsaLevel::Sse2: return detail::kFillSse2;
-    default: return detail::kFillScalar;
-  }
-}
-
 }  // namespace
 
 SimdBatchSolver::SimdBatchSolver(IsaLevel isa)
     : isa_(clampIsa(isa)),
       lanes_(isaLanes(isa_)),
-      fill_(fillFor(isa_)) {
+      fill_(detail::fillKernel(isa_)) {
   lane_state_.resize(static_cast<std::size_t>(lanes_));
 }
 
@@ -148,71 +139,27 @@ int SimdBatchSolver::packGroup(genasm::Anchor anchor,
   return valid;
 }
 
-void SimdBatchSolver::runDistanceGroup(genasm::Anchor anchor, int nw,
-                                       int n_max, int valid) {
-  const std::size_t colstride =
-      static_cast<std::size_t>(nw) * static_cast<std::size_t>(lanes_);
-  const std::size_t row_words =
-      static_cast<std::size_t>(n_max + 1) * colstride;
-  ensureScratch(row_a_, row_words);
-  ensureScratch(row_b_, row_words);
-  std::uint64_t* cur = row_a_.data();
-  std::uint64_t* prev = row_b_.data();
-  const bool both = anchor == genasm::Anchor::BothEnds;
-
-  int remaining = valid;
-  for (int d = 0; remaining > 0; ++d) {
-    int n_act = 0;
-    for (const Lane& lane : lane_state_) {
-      if (lane.active) n_act = std::max(n_act, lane.n);
-    }
-    for (int w = 0; w < nw; ++w) {
-      const std::uint64_t v = onesAboveWord(d, w);
-      std::uint64_t* dst = cur + static_cast<std::size_t>(w) * lanes_;
-      for (int l = 0; l < lanes_; ++l) dst[l] = v;
-    }
-    fill_(detail::FillArgs{cur, prev, pm_.data(), n_act, nw, d, both});
-    for (int l = 0; l < lanes_; ++l) {
-      Lane& lane = lane_state_[static_cast<std::size_t>(l)];
-      if (!lane.active) continue;
-      const int mb = lane.m - 1;
-      const std::uint64_t v =
-          cur[(static_cast<std::size_t>(lane.n) * nw +
-               static_cast<std::size_t>(mb >> 6)) *
-                  lanes_ +
-              static_cast<std::size_t>(l)];
-      if (((v >> (mb & 63)) & 1) == 0) {
-        lane.dmin = d;
-        lane.active = false;
-        --remaining;
-      } else if (d == lane.k) {
-        lane.dmin = -1;
-        lane.active = false;
-        --remaining;
-      }
-    }
-    std::swap(cur, prev);
-  }
-}
-
-void SimdBatchSolver::runPersistedFill(genasm::Anchor anchor, int nw,
-                                       int n_max, int valid) {
+void SimdBatchSolver::runFill(genasm::Anchor anchor, int nw, int n_max,
+                              int valid, bool persist) {
   const std::size_t colstride =
       static_cast<std::size_t>(nw) * static_cast<std::size_t>(lanes_);
   const std::size_t row_words =
       static_cast<std::size_t>(n_max + 1) * colstride;
   const bool both = anchor == genasm::Anchor::BothEnds;
 
-  // Level-major fill with per-level row persistence: the arena grows one
-  // row at a time (monotonically across groups), so lanes that converge
-  // early never claim deeper levels.
+  // Level-major fill. Persisted rows keep level d at slot d: the arena
+  // grows one row at a time (monotonically across groups), so lanes that
+  // converge early never claim deeper levels. Otherwise two slots
+  // alternate.
   int remaining = valid;
-  for (int d = 0; remaining > 0; ++d) {
-    ensureScratch(rows_, static_cast<std::size_t>(d + 1) * row_words);
-    std::uint64_t* cur = rows_.data() + static_cast<std::size_t>(d) * row_words;
+  int d = 0;
+  for (; remaining > 0; ++d) {
+    const std::size_t slot = static_cast<std::size_t>(persist ? d : d & 1);
+    ensureScratch(rows_, (slot + 1) * row_words);
+    std::uint64_t* cur = rows_.data() + slot * row_words;
     const std::uint64_t* prev =
-        d > 0 ? rows_.data() + static_cast<std::size_t>(d - 1) * row_words
-              : nullptr;
+        d == 0 ? nullptr
+               : rows_.data() + (persist ? slot - 1 : slot ^ 1) * row_words;
     int n_act = 0;
     for (const Lane& lane : lane_state_) {
       if (lane.active) n_act = std::max(n_act, lane.n);
@@ -232,17 +179,16 @@ void SimdBatchSolver::runPersistedFill(genasm::Anchor anchor, int nw,
                static_cast<std::size_t>(mb >> 6)) *
                   lanes_ +
               static_cast<std::size_t>(l)];
-      if (((v >> (mb & 63)) & 1) == 0) {
-        lane.dmin = d;
-        lane.active = false;
-        --remaining;
-      } else if (d == lane.k) {
-        lane.dmin = -1;
-        lane.active = false;
-        --remaining;
-      }
+      const bool solved = ((v >> (mb & 63)) & 1) == 0;
+      if (!solved && d < lane.k) continue;
+      lane.dmin = solved ? d : -1;
+      lane.active = false;
+      --remaining;
+      stats_.lane_levels += static_cast<std::uint64_t>(d + 1);
     }
   }
+  stats_.level_slots +=
+      static_cast<std::uint64_t>(d) * static_cast<std::uint64_t>(lanes_);
 }
 
 /// Per-lane probe for the shared genasm::walkTraceback: the improved
@@ -338,7 +284,7 @@ void SimdBatchSolver::solveDistanceBatch(genasm::Anchor anchor,
     int nw = 1;
     int n_max = 0;
     const int valid = packGroup(anchor, problems, order, group, nw, n_max);
-    if (valid > 0) runDistanceGroup(anchor, nw, n_max, valid);
+    if (valid > 0) runFill(anchor, nw, n_max, valid, false);
     for (std::size_t l = 0; l < group; ++l) {
       results[order[l]] = lane_state_[l].valid ? lane_state_[l].dmin : -1;
     }
@@ -357,7 +303,7 @@ void SimdBatchSolver::solveWindowBatch(genasm::Anchor anchor,
     int nw = 1;
     int n_max = 0;
     const int valid = packGroup(anchor, problems, order, group, nw, n_max);
-    if (valid > 0) runPersistedFill(anchor, nw, n_max, valid);
+    if (valid > 0) runFill(anchor, nw, n_max, valid, true);
     for (std::size_t l = 0; l < group; ++l) {
       const Lane& lane = lane_state_[l];
       WindowOutcome& out = outs[order[l]];
@@ -382,7 +328,7 @@ void SimdBatchSolver::alignBatch(genasm::Anchor anchor,
     int nw = 1;
     int n_max = 0;
     const int valid = packGroup(anchor, problems, order, group, nw, n_max);
-    if (valid > 0) runPersistedFill(anchor, nw, n_max, valid);
+    if (valid > 0) runFill(anchor, nw, n_max, valid, true);
     for (std::size_t l = 0; l < group; ++l) {
       const Lane& lane = lane_state_[l];
       // In-place reset, as the scalar solvers' in-place solve() does:

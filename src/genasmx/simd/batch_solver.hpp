@@ -30,15 +30,22 @@
 // reversed internally (text_rev[i-1] == text[n-i]), so callers skip the
 // per-problem reversal copies the scalar path pays.
 //
+// Packing order: lanes are packed in input order within a shape (see
+// below), and a group runs until its deepest lane converges or hits its
+// cap — so callers that know which problems are shallow put them next to
+// each other (the windowed marches order each sweep by the previous
+// window's depth), and early termination then ends those groups early.
+//
 // Shape sorting (on by default, setShapeSort): a group's geometry pads
 // every lane to the widest member's pattern words and text length, so
 // ragged batches waste word-updates. The solver therefore packs lanes
 // in shape order — a deterministic index sort by (pattern words, text
-// length, edit budget) — and scatters results back to input positions.
-// Per-lane results are unchanged by construction: a lane's DP columns
-// and traceback reads never touch another lane's words, and group
-// geometry only pads. Occupancy is tracked in stats() so the perf
-// harness can report padding with and without the sort.
+// length, edit budget), input order breaking ties — and scatters
+// results back to input positions. Per-lane results are unchanged by
+// construction: a lane's DP columns and traceback reads never touch
+// another lane's words, and group geometry and depth only pad.
+// Occupancy is tracked in stats() so the perf harness can report
+// padding with and without the sort.
 //
 // Instances own monotone scratch arenas and are not thread-safe: keep
 // one per worker (the engine's aligners each hold one). scratchAllocs()
@@ -81,13 +88,19 @@ struct WindowOutcome {
 /// positions carried a real problem; word counts say how much of the
 /// issued per-level fill work was useful (a lane's own pattern words x
 /// its own text length) versus the group geometry it was padded to —
-/// the figure shape sorting improves on ragged batches.
+/// the figure shape sorting improves on ragged batches. Level counts say
+/// the same of depth: a group runs until its deepest lane converges or
+/// hits its cap, so level_slots - lane_levels is the lane-levels spent
+/// on lanes already done — the figure packing lanes of similar depth
+/// together improves.
 struct BatchStats {
   std::uint64_t groups = 0;
   std::uint64_t lane_slots = 0;    ///< L per group, summed
   std::uint64_t lanes_filled = 0;  ///< slots holding a valid problem
   std::uint64_t packed_words = 0;  ///< group geometry: L x nw x n_max
   std::uint64_t useful_words = 0;  ///< per valid lane: own nw x own n
+  std::uint64_t level_slots = 0;   ///< levels run x L, summed per group
+  std::uint64_t lane_levels = 0;   ///< per valid lane: levels it needed
 };
 
 class SimdBatchSolver {
@@ -166,12 +179,12 @@ class SimdBatchSolver {
                 const std::size_t* order, std::size_t group, int& nw,
                 int& n_max);
 
-  void runDistanceGroup(genasm::Anchor anchor, int nw, int n_max, int valid);
-
-  /// Level-major lane-parallel fill with per-level row persistence into
-  /// rows_ — shared by solveWindowBatch and alignBatch (their lane
-  /// tracebacks read the persisted rows).
-  void runPersistedFill(genasm::Anchor anchor, int nw, int n_max, int valid);
+  /// Level-major lane-parallel fill until every valid lane has converged
+  /// or hit its cap. With `persist`, every level's rows stay in rows_ for
+  /// the lane tracebacks (solveWindowBatch, alignBatch); without, two
+  /// working rows alternate (solveDistanceBatch).
+  void runFill(genasm::Anchor anchor, int nw, int n_max, int valid,
+               bool persist);
 
   /// Lane probe + the shared genasm::walkTraceback; Emit receives the
   /// committed operations (cigar push or counting, caller's choice).
@@ -193,9 +206,7 @@ class SimdBatchSolver {
   std::vector<Lane> lane_state_;
   std::vector<std::size_t> order_;    ///< packing order (see prepareOrder)
   std::vector<std::uint64_t> pm_;     ///< n_max x nw x L mask words
-  std::vector<std::uint64_t> row_a_;  ///< two-row distance mode
-  std::vector<std::uint64_t> row_b_;
-  std::vector<std::uint64_t> rows_;   ///< per-level persisted rows
+  std::vector<std::uint64_t> rows_;   ///< level rows (see runFill)
 };
 
 }  // namespace gx::simd

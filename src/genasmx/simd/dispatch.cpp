@@ -67,17 +67,17 @@ std::string_view isaName(IsaLevel level) noexcept {
   }
 }
 
-bool isaSupported(IsaLevel level) noexcept {
+detail::FillFn detail::fillKernel(IsaLevel level) noexcept {
   switch (level) {
-    case IsaLevel::Avx512:
-      return detail::kFillAvx512 != nullptr && cpuSupports(level);
-    case IsaLevel::Avx2:
-      return detail::kFillAvx2 != nullptr && cpuSupports(level);
-    case IsaLevel::Sse2:
-      return detail::kFillSse2 != nullptr && cpuSupports(level);
-    default:
-      return true;
+    case IsaLevel::Avx512: return kFillAvx512;
+    case IsaLevel::Avx2: return kFillAvx2;
+    case IsaLevel::Sse2: return kFillSse2;
+    default: return kFillScalar;
   }
+}
+
+bool isaSupported(IsaLevel level) noexcept {
+  return detail::fillKernel(level) != nullptr && cpuSupports(level);
 }
 
 IsaLevel activeIsa() noexcept {

@@ -59,4 +59,12 @@ enum class IsaLevel {
 /// the level actually installed.
 IsaLevel forceIsa(IsaLevel level) noexcept;
 
+namespace detail {
+struct FillArgs;  // kernels.hpp
+using FillFn = void (*)(const FillArgs&);
+/// `level`'s fill kernel; nullptr where the build lacks its instruction
+/// set. Whether the CPU runs it is isaSupported()'s question.
+[[nodiscard]] FillFn fillKernel(IsaLevel level) noexcept;
+}  // namespace detail
+
 }  // namespace gx::simd

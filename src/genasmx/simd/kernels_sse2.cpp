@@ -10,63 +10,28 @@
 namespace gx::simd::detail {
 namespace {
 
-void fillLevelSse2(const FillArgs& a) {
-  constexpr int L = 2;
-  const int nw = a.nw;
-  const std::size_t colstride = static_cast<std::size_t>(nw) * L;
-  for (int i = 1; i <= a.n_max; ++i) {
-    std::uint64_t* cur_i = a.cur + static_cast<std::size_t>(i) * colstride;
-    const std::uint64_t* cur_im1 = cur_i - colstride;
-    const std::uint64_t* pm_i =
-        a.pm + static_cast<std::size_t>(i - 1) * colstride;
-    const long long bc = (a.both_ends && i - 1 > a.d) ? 1 : 0;
-    if (a.d == 0) {
-      __m128i carry = _mm_set1_epi64x(bc);
-      for (int w = 0; w < nw; ++w) {
-        const __m128i c =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(cur_im1 + w * L));
-        const __m128i pm =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(pm_i + w * L));
-        const __m128i r =
-            _mm_or_si128(_mm_or_si128(_mm_slli_epi64(c, 1), carry), pm);
-        carry = _mm_srli_epi64(c, 63);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(cur_i + w * L), r);
-      }
-    } else {
-      const long long bp = (a.both_ends && i - 1 > a.d - 1) ? 1 : 0;
-      const long long bpi = (a.both_ends && i > a.d - 1) ? 1 : 0;
-      const std::uint64_t* prev_i =
-          a.prev + static_cast<std::size_t>(i) * colstride;
-      const std::uint64_t* prev_im1 = prev_i - colstride;
-      __m128i carry_c = _mm_set1_epi64x(bc);
-      __m128i carry_p = _mm_set1_epi64x(bp);
-      __m128i carry_pi = _mm_set1_epi64x(bpi);
-      for (int w = 0; w < nw; ++w) {
-        const __m128i c =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(cur_im1 + w * L));
-        const __m128i p =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(prev_im1 + w * L));
-        const __m128i pi =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(prev_i + w * L));
-        const __m128i pm =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(pm_i + w * L));
-        __m128i r =
-            _mm_or_si128(_mm_or_si128(_mm_slli_epi64(c, 1), carry_c), pm);
-        r = _mm_and_si128(r, _mm_or_si128(_mm_slli_epi64(p, 1), carry_p));
-        r = _mm_and_si128(r, p);
-        r = _mm_and_si128(r, _mm_or_si128(_mm_slli_epi64(pi, 1), carry_pi));
-        carry_c = _mm_srli_epi64(c, 63);
-        carry_p = _mm_srli_epi64(p, 63);
-        carry_pi = _mm_srli_epi64(pi, 63);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(cur_i + w * L), r);
-      }
-    }
+struct Sse2Ops {
+  using V = __m128i;
+  static constexpr int kLanes = 2;
+  static V load(const std::uint64_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   }
-}
+  static void store(std::uint64_t* p, V v) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+  }
+  static V set1(std::uint64_t x) {
+    return _mm_set1_epi64x(static_cast<long long>(x));
+  }
+  static V shl1(V v) { return _mm_slli_epi64(v, 1); }
+  static V shr63(V v) { return _mm_srli_epi64(v, 63); }
+  static V or_(V a, V b) { return _mm_or_si128(a, b); }
+  static V and_(V a, V b) { return _mm_and_si128(a, b); }
+  static V orAnd(V a, V b, V c) { return and_(or_(a, b), c); }
+};
 
 }  // namespace
 
-const FillFn kFillSse2 = &fillLevelSse2;
+const FillFn kFillSse2 = &fillLevel<Sse2Ops>;
 
 }  // namespace gx::simd::detail
 

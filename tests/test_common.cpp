@@ -19,6 +19,13 @@ TEST(Sequence, BaseCodeRoundTrip) {
   }
   EXPECT_EQ(baseCode('a'), baseCode('A'));
   EXPECT_EQ(baseCode('N'), 0);  // N folds to A by convention
+  // Every other byte, the high (negative char) half included, folds too.
+  const std::string_view acgt = "ACGTacgt";
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const std::size_t pos = acgt.find(c);
+    EXPECT_EQ(baseCode(c), pos == std::string_view::npos ? 0 : pos % 4) << b;
+  }
 }
 
 TEST(Sequence, Complement) {

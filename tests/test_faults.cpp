@@ -386,9 +386,12 @@ TEST(FastxFaults, RecordEioIsFatalEvenUnderSkipPolicy) {
 
 // --------------------------------------------------- paf write faults
 
-io::PafRecord tinyRecord(const std::string& name) {
+/// Record "r<i>". The name is appended, not built as "r" + to_string(i):
+/// once inlined here, that operator+ trips a false GCC 12 -Wrestrict.
+io::PafRecord tinyRecord(int i) {
   io::PafRecord rec;
-  rec.query_name = name;
+  rec.query_name = "r";
+  rec.query_name += std::to_string(i);
   rec.query_len = 10;
   rec.query_begin = 0;
   rec.query_end = 10;
@@ -405,7 +408,7 @@ io::PafRecord tinyRecord(const std::string& name) {
 std::string cleanPafOutput(int records) {
   std::ostringstream out;
   io::PafWriter writer(out, 1);  // flush per record
-  for (int i = 0; i < records; ++i) writer.write(tinyRecord("r" + std::to_string(i)));
+  for (int i = 0; i < records; ++i) writer.write(tinyRecord(i));
   writer.close();
   return out.str();
 }
@@ -415,7 +418,7 @@ TEST(PafFaults, EnospcSurfacesAsCleanIoFatal) {
   std::ostringstream out;
   io::PafWriter writer(out, 1);
   try {
-    writer.write(tinyRecord("r0"));  // flush_threshold 1: flushes inline
+    writer.write(tinyRecord(0));  // flush_threshold 1: flushes inline
     writer.close();
     FAIL() << "expected ENOSPC";
   } catch (const Error& e) {
@@ -429,9 +432,9 @@ TEST(PafFaults, PersistentEioOnLaterWriteSurfaces) {
   const io::ScopedFaultInjection guard(io::FaultPlan::parse("eio@out:1"));
   std::ostringstream out;
   io::PafWriter writer(out, 1);
-  writer.write(tinyRecord("r0"));  // write 0 is fine
+  writer.write(tinyRecord(0));  // write 0 is fine
   try {
-    writer.write(tinyRecord("r1"));  // write 1 fails every attempt
+    writer.write(tinyRecord(1));  // write 1 fails every attempt
     writer.close();
     FAIL() << "expected EIO";
   } catch (const Error& e) {
@@ -447,7 +450,7 @@ TEST(PafFaults, TransientFaultsRetryToByteIdenticalOutput) {
     const io::ScopedFaultInjection guard(io::FaultPlan::parse(spec));
     std::ostringstream out;
     io::PafWriter writer(out, 1);
-    for (int i = 0; i < 3; ++i) writer.write(tinyRecord("r" + std::to_string(i)));
+    for (int i = 0; i < 3; ++i) writer.write(tinyRecord(i));
     writer.close();
     EXPECT_EQ(out.str(), expected) << spec;
     EXPECT_GE(writer.retries(), 1u) << spec;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,154 @@ TEST(SimdDispatch, ScalarAlwaysSupportedAndForceClamps) {
   simd::forceIsa(active);  // restore
   EXPECT_FALSE(simd::isaName(active).empty());
   EXPECT_EQ(simd::isaLanes(simd::IsaLevel::Scalar), 1);
+}
+
+// --------------------------------------------------------- fill kernels
+
+/// Word w of BitVec::onesAbove(d), the level's column-0 value.
+std::uint64_t onesAboveWord(int d, int w) {
+  const int lo = w * 64;
+  if (d <= lo) return ~0ULL;
+  if (d >= lo + 64) return 0;
+  return ~0ULL << (d - lo);
+}
+
+// Every kernel the host supports against kFillScalar run lane by lane,
+// every row word of every level, at every group word count: the only
+// check of the vector kernels that does not go through a solver (so the
+// AVX-512 kernel is exercised even where dispatch is forced to scalar).
+// Lanes carry patterns drawn from their text at 0-30% error, texts
+// shorter than the group's (padded columns), and an invalid lane
+// (all-ones masks) when the group has more than one lane.
+TEST(SimdFillKernel, EveryIsaMatchesScalarLaneByLaneWordForWord) {
+  util::Xoshiro256 rng(1234);
+  for (const auto level : supportedLevels()) {
+    const simd::detail::FillFn fill = simd::detail::fillKernel(level);
+    const int L = simd::isaLanes(level);
+    for (int nw = 1; nw <= 8; ++nw) {
+      for (const bool both : {false, true}) {
+        const std::string ctx = std::string(simd::isaName(level)) +
+                                " nw=" + std::to_string(nw) +
+                                " both=" + std::to_string(both);
+        // Pattern-mask words, lane-major here: lane_pm[l][(i-1)*nw + w].
+        const int n_max = 64 * nw + static_cast<int>(rng.below(40));
+        const std::size_t col = static_cast<std::size_t>(nw);
+        std::vector<std::vector<std::uint64_t>> lane_pm(
+            static_cast<std::size_t>(L),
+            std::vector<std::uint64_t>(static_cast<std::size_t>(n_max) * col,
+                                       ~0ULL));
+        for (int l = 0; l < L; ++l) {
+          if (L > 1 && l == L - 1) continue;  // invalid lane
+          const int n = l == 0 ? n_max
+                               : 1 + static_cast<int>(rng.below(n_max));
+          const std::string text = common::randomSequence(rng, n);
+          const int m = std::min(n, 64 * (nw - 1) + 1 +
+                                        static_cast<int>(rng.below(64)));
+          const std::size_t errs =
+              rng.below(31) * static_cast<std::size_t>(m) / 100;
+          std::string pattern = common::mutateSequence(
+              rng, std::string_view(text).substr(0, m), errs);
+          pattern.resize(std::clamp<std::size_t>(pattern.size(), 1, 64 * col),
+                         'A');
+          // Bit j of column i is 0 iff pattern_rev[j] == text_rev[i-1].
+          auto& pm = lane_pm[static_cast<std::size_t>(l)];
+          for (int i = 1; i <= n; ++i) {
+            const char c = text[static_cast<std::size_t>(n - i)];
+            for (std::size_t j = 0; j < pattern.size(); ++j) {
+              if (pattern[pattern.size() - 1 - j] == c) {
+                pm[static_cast<std::size_t>(i - 1) * col + j / 64] &=
+                    ~(1ULL << (j % 64));
+              }
+            }
+          }
+        }
+        // The same words in the kernels' SoA layout.
+        const std::size_t soa_col = col * static_cast<std::size_t>(L);
+        std::vector<std::uint64_t> pm(static_cast<std::size_t>(n_max) *
+                                      soa_col);
+        for (std::size_t k = 0; k < pm.size(); ++k) {
+          pm[k] = lane_pm[k % static_cast<std::size_t>(L)]
+                         [k / static_cast<std::size_t>(L)];
+        }
+        const std::size_t rows = static_cast<std::size_t>(n_max + 1);
+        std::vector<std::uint64_t> cur(rows * soa_col), prev(rows * soa_col);
+        std::vector<std::vector<std::uint64_t>> lcur(
+            static_cast<std::size_t>(L), std::vector<std::uint64_t>(rows * col));
+        auto lprev = lcur;
+        for (int d = 0; d <= 40; ++d) {
+          for (int w = 0; w < nw; ++w) {
+            for (int l = 0; l < L; ++l) {
+              cur[static_cast<std::size_t>(w * L + l)] = onesAboveWord(d, w);
+              lcur[static_cast<std::size_t>(l)][static_cast<std::size_t>(w)] =
+                  onesAboveWord(d, w);
+            }
+          }
+          fill({cur.data(), prev.data(), pm.data(), n_max, nw, d, both});
+          for (int l = 0; l < L; ++l) {
+            const auto li = static_cast<std::size_t>(l);
+            simd::detail::kFillScalar({lcur[li].data(), lprev[li].data(),
+                                       lane_pm[li].data(), n_max, nw, d,
+                                       both});
+            for (std::size_t k = 0; k < rows * col; ++k) {
+              ASSERT_EQ(cur[k * static_cast<std::size_t>(L) + li], lcur[li][k])
+                  << ctx << " d=" << d << " lane=" << l << " column="
+                  << k / col << " word=" << k % col;
+            }
+          }
+          std::swap(cur, prev);
+          std::swap(lcur, lprev);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdBatchStats, DepthSortedLanesRunFewerLevelSlots) {
+  // One shape throughout (same text and pattern length, same cap), so the
+  // shape sort keeps input order: alternating exact (1 level) and random
+  // (deep) patterns put a deep lane in every group; the same problems
+  // depth-sorted let the shallow groups stop after one level.
+  util::Xoshiro256 rng(31337);
+  std::vector<std::string> store;
+  store.reserve(64);
+  std::vector<simd::WindowProblem> shallow;
+  std::vector<simd::WindowProblem> deep;
+  for (int i = 0; i < 16; ++i) {
+    store.push_back(common::randomSequence(rng, 96));
+    const std::string& text = store.back();
+    shallow.push_back({text, std::string_view(text).substr(0, 64), -1, 32});
+    store.push_back(common::randomSequence(rng, 64));
+    deep.push_back({text, store.back(), -1, 32});
+  }
+  std::vector<simd::WindowProblem> alternating;
+  for (std::size_t i = 0; i < shallow.size(); ++i) {
+    alternating.push_back(shallow[i]);
+    alternating.push_back(deep[i]);
+  }
+  std::vector<simd::WindowProblem> sorted = shallow;
+  sorted.insert(sorted.end(), deep.begin(), deep.end());
+  for (const auto level : supportedLevels()) {
+    simd::SimdBatchSolver by_input(level);
+    simd::SimdBatchSolver by_depth(level);
+    std::vector<genasm::WindowResult> outs(alternating.size());
+    by_input.alignBatch(genasm::Anchor::StartOnly, alternating.data(),
+                        alternating.size(), outs.data());
+    by_depth.alignBatch(genasm::Anchor::StartOnly, sorted.data(),
+                        sorted.size(), outs.data());
+    const simd::BatchStats& a = by_input.stats();
+    const simd::BatchStats& b = by_depth.stats();
+    const std::string ctx(simd::isaName(level));
+    // The lanes need the same levels whatever their group-mates.
+    EXPECT_EQ(a.lane_levels, b.lane_levels) << ctx;
+    EXPECT_GE(a.level_slots, a.lane_levels) << ctx;
+    EXPECT_GE(b.level_slots, b.lane_levels) << ctx;
+    if (by_input.lanes() > 1) {
+      EXPECT_LT(b.level_slots, a.level_slots) << ctx;
+    } else {
+      EXPECT_EQ(b.level_slots, a.level_slots) << ctx;
+      EXPECT_EQ(a.level_slots, a.lane_levels) << ctx;
+    }
+  }
 }
 
 TEST(SimdBatchDistance, MatchesScalarSolveDistanceAcrossWidths) {
@@ -541,6 +690,62 @@ TEST(SimdWindowedMarch, SteadyStateBatchedMarchesAllocateNothing) {
   }
   EXPECT_EQ(solver.scratchAllocs(), solver_cold);
   EXPECT_EQ(scratch.allocs(), scratch_cold);
+}
+
+TEST(SimdWindowedMarch, MixedDepthBatchesMatchScalarMarches) {
+  // True overlaps at ~10% error interleaved with unrelated random
+  // sequences: the depth-ordered sweeps pack them into separate groups.
+  // Every request still gets exactly the scalar march's result, and a
+  // warm rerun (the sort permuting for real) allocates nothing.
+  util::Xoshiro256 rng(2718);
+  core::WindowConfig cfg;
+  std::vector<std::string> store;
+  store.reserve(48);
+  std::vector<core::BatchedAlignRequest> areqs;
+  std::vector<core::BatchedDistanceRequest> dreqs;
+  for (int i = 0; i < 24; ++i) {
+    const std::size_t qlen = 400 + rng.below(1200);
+    store.push_back(common::randomSequence(rng, qlen + rng.below(150)));
+    const std::string& t = store.back();
+    store.push_back(i % 2 == 0 ? common::mutateSequence(rng, t.substr(0, qlen),
+                                                        qlen / 10)
+                               : common::randomSequence(rng, qlen));
+    areqs.push_back({t, store.back()});
+    // Caps: none, or one the random requests blow mid-march.
+    dreqs.push_back({t, store.back(), i % 3 == 0 ? -1
+                                                 : static_cast<int>(qlen / 4)});
+  }
+  for (const auto level : supportedLevels()) {
+    simd::SimdBatchSolver solver(level);
+    core::WindowedBatchScratch scratch;
+    std::vector<common::AlignmentResult> ares(areqs.size());
+    std::vector<int> dres(dreqs.size(), -2);
+    for (int rep = 0; rep < 2; ++rep) {
+      const std::uint64_t solver_allocs = solver.scratchAllocs();
+      const std::uint64_t scratch_allocs = scratch.allocs();
+      core::alignWindowedBatch(solver, cfg, areqs.data(), areqs.size(),
+                               ares.data(), scratch);
+      core::distanceWindowedBatch(solver, cfg, dreqs.data(), dreqs.size(),
+                                  dres.data(), scratch);
+      if (rep == 1) {
+        EXPECT_EQ(solver.scratchAllocs(), solver_allocs);
+        EXPECT_EQ(scratch.allocs(), scratch_allocs);
+      }
+    }
+    for (std::size_t i = 0; i < areqs.size(); ++i) {
+      const std::string ctx =
+          std::string(simd::isaName(level)) + " i=" + std::to_string(i);
+      const auto want =
+          core::alignWindowedImproved(areqs[i].target, areqs[i].query, cfg);
+      EXPECT_EQ(ares[i].ok, want.ok) << ctx;
+      EXPECT_EQ(ares[i].edit_distance, want.edit_distance) << ctx;
+      EXPECT_EQ(ares[i].cigar, want.cigar) << ctx;
+      EXPECT_EQ(dres[i],
+                core::distanceWindowedImproved(dreqs[i].target, dreqs[i].query,
+                                               cfg, {}, dreqs[i].cap))
+          << ctx;
+    }
+  }
 }
 
 // The GenASM traceback is ONE implementation (genasm::walkTraceback):
